@@ -16,8 +16,11 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is a separate module compiled against the public API; the root
+# module's ./... never sees it, so vet it explicitly.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

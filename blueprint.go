@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pacman/internal/checkpoint"
 	"pacman/internal/engine"
 	"pacman/internal/recovery"
 	"pacman/internal/wal"
@@ -22,10 +21,10 @@ type Seeder = func(table string, key uint64, vals Tuple)
 // deterministic seed for the initial population.
 //
 // Declaring the catalog once and passing the same value to Launch and
-// Restart removes the re-declare-everything-in-the-same-order footgun of
-// the imperative lifecycle: Launch persists a manifest of the blueprint to
-// the devices, and Restart refuses to replay logs against a blueprint that
-// has drifted from it.
+// Restart keeps the logging run and the recovery run on one catalog and one
+// procedure order: Launch persists a manifest of the blueprint to the
+// devices, and Restart refuses to replay logs against a blueprint that has
+// drifted from it.
 type Blueprint struct {
 	// Tables declares the schemas, in table-ID order.
 	Tables []*Schema
@@ -45,63 +44,50 @@ type Blueprint struct {
 // changed procedure bodies, changed seed).
 var ErrBlueprintMismatch = wal.ErrManifestMismatch
 
-// ApplyBlueprint declares the blueprint's tables and procedures on a fresh,
-// not-started instance and runs its seed.
-func (d *DB) ApplyBlueprint(bp Blueprint) error {
-	if d.started {
-		return errors.New("pacman: apply a blueprint to a fresh instance, not a started one")
-	}
+// apply declares the blueprint's tables and procedures on a fresh instance
+// and runs its seed, folding every seeded row into the seed fingerprint the
+// catalog manifest records.
+func (d *DB) apply(bp Blueprint) error {
 	for _, s := range bp.Tables {
-		if _, err := d.DefineTable(s); err != nil {
+		if _, err := d.db.AddTable(s); err != nil {
 			return err
 		}
 	}
 	for _, p := range bp.Procedures {
-		if err := d.Register(p); err != nil {
+		if _, err := d.reg.Register(d.db, p); err != nil {
 			return err
 		}
 	}
-	if bp.Seed != nil {
-		var seedErr error
-		bp.Seed(func(table string, key uint64, vals Tuple) {
-			t := d.db.Table(table)
-			if t == nil {
-				if seedErr == nil {
-					seedErr = fmt.Errorf("pacman: blueprint seed references undeclared table %q", table)
-				}
-				return
-			}
-			d.Seed(t, key, vals)
-		})
-		if seedErr != nil {
-			return seedErr
-		}
+	if bp.Seed == nil {
+		return nil
 	}
-	return nil
+	var seedErr error
+	bp.Seed(func(table string, key uint64, vals Tuple) {
+		t := d.db.Table(table)
+		if t == nil {
+			if seedErr == nil {
+				seedErr = fmt.Errorf("pacman: blueprint seed references undeclared table %q", table)
+			}
+			return
+		}
+		d.seedHash.Row(t.Name(), key, vals)
+		r, _ := t.GetOrCreateRow(key)
+		r.Install(engine.MakeTS(0, 1), vals, false, true)
+	})
+	return seedErr
 }
 
-// Launch opens a database instance from a blueprint and starts it: tables
-// defined, procedures registered, population seeded, catalog manifest
-// persisted, epoch clock and loggers running. The returned instance serves
-// immediately (NewFrontend / NewSession). Launch requires fresh devices and
-// fails loudly when handed used ones — relaunching on a crashed instance's
-// devices would restart the epoch clock at zero and truncate batch files
-// that still hold durable records; restarting on devices that already hold
-// logs is Restart's job.
+// Launch opens a database instance from a blueprint on fresh devices and
+// starts it: tables defined, procedures registered, population seeded,
+// catalog manifest persisted, epoch clock and loggers running. The returned
+// instance serves immediately (NewFrontend). Restarting on devices that
+// already hold logs is Restart's job.
 func Launch(bp Blueprint, opts Options) (*DB, error) {
-	for _, dev := range opts.ExistingDevices {
-		if _, err := wal.ReadCatalogManifest(dev); err == nil || !errors.Is(err, wal.ErrNoManifest) {
-			return nil, fmt.Errorf("pacman: device %s already holds a catalog manifest; Restart recovers used devices, Launch requires fresh ones", dev.Name())
-		}
-		if logs := dev.List("log-"); len(logs) > 0 {
-			return nil, fmt.Errorf("pacman: device %s already holds %d log batch files; Restart recovers used devices, Launch requires fresh ones", dev.Name(), len(logs))
-		}
-	}
-	d := Open(opts)
-	if err := d.ApplyBlueprint(bp); err != nil {
+	d := open(opts, nil)
+	if err := d.apply(bp); err != nil {
 		return nil, err
 	}
-	if err := d.Start(); err != nil {
+	if err := d.start(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -120,7 +106,7 @@ func MustLaunch(bp Blueprint, opts Options) *DB {
 // from its devices: the normal path back to availability, not an offline
 // experiment.
 //
-// It reads the catalog manifest the crashed instance persisted at Start and
+// It reads the catalog manifest the crashed instance persisted at launch and
 // validates bp against it, failing loudly (ErrBlueprintMismatch) on
 // reordered or missing procedures, schema drift, changed procedure bodies,
 // or a changed seed — any of which would silently corrupt command-log
@@ -133,8 +119,8 @@ func MustLaunch(bp Blueprint, opts Options) *DB {
 //   - the WAL opens fresh batch files after the reloaded tail instead of
 //     clobbering it, so a second crash+Restart recovers both pre- and
 //     post-restart commits;
-//   - Frontends and Sessions work immediately, and new commits become
-//     durable on the same devices.
+//   - Frontends work immediately, and new commits become durable on the
+//     same devices.
 //
 // Pass the same device slice the crashed instance used (first device
 // first — it holds the pepoch marker and manifest). The recovered RecoveryResult
@@ -146,7 +132,7 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 	man, err := wal.ReadCatalogManifest(devices[0])
 	if err != nil {
 		if errors.Is(err, wal.ErrNoManifest) {
-			return nil, nil, fmt.Errorf("pacman: restart: %w (was the instance started via Launch/Start? raw Open+Recover handles unmanifested devices)", err)
+			return nil, nil, fmt.Errorf("pacman: restart: %w (was the instance started via Launch?)", err)
 		}
 		return nil, nil, fmt.Errorf("pacman: restart: %w", err)
 	}
@@ -161,14 +147,13 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 	opts := cfg.Serve
 	opts.Logging = man.Kind
 	opts.BatchEpochs = man.BatchEpochs
-	opts.ExistingDevices = devices
 	if opts.EpochInterval == 0 && man.EpochNanos > 0 {
 		// Keep the crashed instance's group-commit cadence (and with it its
 		// durable-commit latency) unless the caller overrides it.
 		opts.EpochInterval = time.Duration(man.EpochNanos)
 	}
-	d := Open(opts)
-	if err := d.ApplyBlueprint(bp); err != nil {
+	d := open(opts, devices)
+	if err := d.apply(bp); err != nil {
 		return nil, nil, err
 	}
 	if err := man.Diff(d.catalogManifest()); err != nil {
@@ -184,7 +169,18 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 			scheme, scheme.LogKind(), man.Kind)
 	}
 
-	res, err := d.Recover(devices, scheme, cfg)
+	ropts := recovery.Options{
+		Scheme:    scheme,
+		DB:        d.db,
+		Registry:  d.reg,
+		Devices:   devices,
+		Threads:   max(cfg.Threads, 1),
+		Breakdown: cfg.Breakdown,
+	}
+	if scheme == recovery.CLRP {
+		ropts.GDG = d.Analyze()
+	}
+	res, err := recovery.Run(ropts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,20 +210,8 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 	d.mgr.Rebase(resume)
 	d.resumePepoch = resume - 1
 	d.ckptSeed = res.CheckpointID
-	if cfg.SkipCheckpoint {
-		// Recovery didn't look, but checkpoints may still sit on the
-		// devices: new ones must number past them or they clobber shard
-		// files and lose FindLatest to a stale manifest.
-		cm, err := checkpoint.FindLatest(devices)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cm != nil {
-			d.ckptSeed = cm.ID
-		}
-	}
 
-	if err := d.Start(); err != nil {
+	if err := d.start(); err != nil {
 		return nil, nil, err
 	}
 	return d, res, nil

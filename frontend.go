@@ -29,23 +29,19 @@ type FrontendConfig struct {
 // goroutines submit stored-procedure invocations through a bounded queue
 // onto a fixed session pool. Submit returns a durable-commit Future;
 // Exec is the synchronous variant that waits for group-commit release.
-// The Frontend heartbeats its idle sessions internally, so callers never
-// touch Session.Heartbeat, and Close drains the queue before retiring the
-// pool.
+// The Frontend heartbeats its idle sessions internally, and Close drains
+// the queue before retiring the pool.
 type Frontend struct {
 	d  *DB
 	fe *frontend.Frontend
 }
 
-// NewFrontend creates a frontend over a started database, or returns
-// ErrNotStarted. Instances returned by Launch and Restart are already
-// started, so a Frontend works immediately — including right after a crash
-// recovery, where new submissions commit with timestamps above the
-// recovered high-water mark and append to the same log devices.
+// NewFrontend creates a frontend over the database. Instances returned by
+// Launch and Restart are already started, so a Frontend works immediately —
+// including right after a crash recovery, where new submissions commit with
+// timestamps above the recovered high-water mark and append to the same log
+// devices. It never fails; the error result keeps the signature stable.
 func (d *DB) NewFrontend(cfg FrontendConfig) (*Frontend, error) {
-	if !d.started {
-		return nil, ErrNotStarted
-	}
 	fe := frontend.New(d.mgr, d.logset, frontend.Config{
 		Workers: cfg.Workers,
 		Queue:   cfg.Queue,
@@ -57,7 +53,7 @@ func (d *DB) NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 }
 
 // MustFrontend is NewFrontend that panics on error — the panicking twin,
-// matching MustSession and the Must* constructor convention.
+// matching MustLaunch and the Must* constructor convention.
 func (d *DB) MustFrontend(cfg FrontendConfig) *Frontend {
 	fe, err := d.NewFrontend(cfg)
 	if err != nil {

@@ -29,8 +29,7 @@ func BenchmarkFrontendSubmit(b *testing.B) {
 	}
 	setup := func(b *testing.B) *Frontend {
 		b.Helper()
-		d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-		d.Start()
+		d := launchBank(b, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 		fe, err := d.NewFrontend(FrontendConfig{Workers: poolWorkers})
 		if err != nil {
 			b.Fatal(err)

@@ -18,8 +18,7 @@ func depositArgs(acct, amount int64) Args {
 // the full gray-failure signal set and reports healthy; a disabled
 // watchdog reports a bare healthy snapshot.
 func TestDBHealthSnapshot(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
+	d := launchBank(t, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	defer d.Close()
 
 	snap := d.Health()
@@ -42,8 +41,7 @@ func TestDBHealthSnapshot(t *testing.T) {
 		}
 	}
 
-	d2, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond, Health: HealthConfig{Disable: true}})
-	d2.Start()
+	d2 := launchBank(t, Options{Logging: CommandLogging, EpochInterval: time.Millisecond, Health: HealthConfig{Disable: true}})
 	defer d2.Close()
 	if snap := d2.Health(); snap.State != "healthy" || len(snap.Signals) != 0 {
 		t.Fatalf("disabled watchdog snapshot: %+v", snap)
@@ -59,7 +57,7 @@ func TestDBBrownoutEndToEnd(t *testing.T) {
 		trMu        sync.Mutex
 		transitions []string
 	)
-	d, _ := openBank(Options{
+	d := launchBank(t, Options{
 		Logging:       CommandLogging,
 		EpochInterval: time.Millisecond,
 		Health: HealthConfig{
@@ -75,7 +73,6 @@ func TestDBBrownoutEndToEnd(t *testing.T) {
 			Logf: t.Logf,
 		},
 	})
-	d.Start()
 	defer d.Close()
 	fe := d.MustFrontend(FrontendConfig{})
 	defer fe.Close()

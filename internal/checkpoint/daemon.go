@@ -45,20 +45,6 @@ func NewDaemon(mgr *txn.Manager, views *mvcc.Manager, devices []*simdisk.Device,
 	return &Daemon{mgr: mgr, views: views, devices: devices, cfg: cfg, interval: interval, stopCh: make(chan struct{})}
 }
 
-// SeedIDs moves the checkpoint id counter past lastID. A restarted instance
-// seeds it with the id of the checkpoint it recovered from, so new
-// checkpoints take fresh, strictly larger ids — FindLatest picks the newest
-// checkpoint by id, and a restarted daemon that restarted numbering at 1
-// would both clobber recovered shard files and lose to a stale manifest.
-func (d *Daemon) SeedIDs(lastID uint32) {
-	for {
-		cur := d.nextID.Load()
-		if lastID <= cur || d.nextID.CompareAndSwap(cur, lastID) {
-			return
-		}
-	}
-}
-
 // Start launches the periodic checkpointing goroutine.
 func (d *Daemon) Start() {
 	d.wg.Add(1)

@@ -242,7 +242,7 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 		cfg:         cfg,
 	}
 
-	// The retention manager mirrors what pacman.DB.Start wires up: GC kicks
+	// The retention manager mirrors what pacman.Launch wires up: GC kicks
 	// on every persistent-epoch advance, with a ticker sweeping stragglers.
 	var ls *wal.LogSet
 	snap := mvcc.NewManager(w.DB(), mvcc.Config{

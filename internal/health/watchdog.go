@@ -233,10 +233,11 @@ func (w *Watchdog) sample(now time.Time) []SignalStatus {
 	return out
 }
 
+// transition records a state change. The new state is published last, so
+// an observer that sees it through State also sees its history entry and
+// the completed OnTransition hook.
 func (w *Watchdog) transition(now time.Time, to State, cause string) {
 	from := w.State()
-	w.state.Store(int32(to))
-	w.since.Store(now.UnixNano())
 	w.breached, w.clean = 0, 0
 	if to == Brownout {
 		w.brownouts.Add(1)
@@ -253,6 +254,8 @@ func (w *Watchdog) transition(now time.Time, to State, cause string) {
 	if w.cfg.OnTransition != nil {
 		w.cfg.OnTransition(from, to, cause)
 	}
+	w.since.Store(now.UnixNano())
+	w.state.Store(int32(to))
 }
 
 // Transitions returns a copy of the retained transition history.

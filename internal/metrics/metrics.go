@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ type Histogram struct {
 }
 
 const (
-	// Buckets: 64 per power of two of nanoseconds, covering 2^9ns (512ns)
+	// Buckets: 8 per power of two of nanoseconds, covering 2^9ns (512ns)
 	// granularity at the low end up to 2^40ns (~18 min).
 	bucketsPerPow = 8
 	minPow        = 9
@@ -35,7 +36,7 @@ func bucketFor(ns int64) int {
 	if ns < 1<<minPow {
 		return 0
 	}
-	pow := 63 - leadingZeros(uint64(ns))
+	pow := 63 - bits.LeadingZeros64(uint64(ns))
 	if pow >= maxPow {
 		return numBuckets - 1
 	}
@@ -52,18 +53,6 @@ func bucketFor(ns int64) int {
 }
 
 const log2BucketsPerPow = 3 // log2(bucketsPerPow)
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
-}
 
 func bucketUpper(i int) time.Duration {
 	pow := minPow + i/bucketsPerPow

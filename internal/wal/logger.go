@@ -51,11 +51,13 @@ type Config struct {
 	// only on epochs this incarnation actually flushed.
 	ResumeEpoch uint32
 	// OnRelease, if set, is called with transactions whose results become
-	// releasable: their epoch is covered by the persistent epoch. The
-	// harness measures end-to-end latency here. The observer owns the
-	// slice and the records it receives (they are never recycled into the
-	// commit-record pool while an observer is configured), so it may
-	// retain both past the call.
+	// releasable: their epoch is covered by the persistent epoch. It is a
+	// test seam: tests observe every release through it to prove each
+	// commit is released exactly once, which futures cannot show because
+	// the first Resolve wins. The observer owns the slice and the records
+	// it receives (they are never recycled into the commit-record pool
+	// while an observer is configured), so it may retain both past the
+	// call.
 	OnRelease func([]*txn.Committed)
 	// OnPepochAdvance, if set, is called from the pepoch thread each time
 	// the persistent epoch advances, with the new value. The multi-version

@@ -15,7 +15,7 @@ import (
 
 // Catalog manifest
 //
-// Start persists a description of everything recovery needs to agree on with
+// Launch persists a description of everything recovery needs to agree on with
 // the original instance — table schemas in catalog order, procedure names in
 // registration order (registration order assigns the procedure IDs recorded
 // in command logs), per-procedure operation fingerprints, the logging kind,
@@ -70,21 +70,11 @@ type CatalogManifest struct {
 	Procs []ProcDef
 	// SeedFP fingerprints the deterministic initial population (see
 	// SeedHash; an instance with no seeded rows records the empty-hash
-	// value). SeedUnverified marks an instance whose population was
-	// installed outside the fingerprinting seed path — Diff refuses to
-	// validate such a manifest.
+	// value).
 	SeedFP uint64
 }
 
 const manifestMagic = 0x5041434D // "PACM"
-
-// SeedUnverified is the SeedFP sentinel for instances whose initial
-// population was installed outside the fingerprinting seed path (e.g. an
-// adopted workload catalog populated directly). Their logs are recoverable
-// with the raw offline path, but a blueprint restart cannot prove the
-// population matches, so Diff rejects the manifest outright instead of
-// letting a nil-seed blueprint validate against an unseeded catalog.
-const SeedUnverified = ^uint64(0)
 
 // EncodeCatalogManifest serializes m with a magic/version/CRC frame.
 func EncodeCatalogManifest(m *CatalogManifest) []byte {
@@ -228,9 +218,6 @@ func ReadCatalogManifest(dev *simdisk.Device) (*CatalogManifest, error) {
 // message lists every divergence — reordered, missing, added, or reshaped
 // tables and procedures, and a changed initial population.
 func (m *CatalogManifest) Diff(decl *CatalogManifest) error {
-	if m.SeedFP == SeedUnverified {
-		return fmt.Errorf("%w: the manifest records a population installed outside the blueprint seed path (an adopted catalog populated directly); its seed cannot be validated — recover these devices with the offline DB.Recover instead", ErrManifestMismatch)
-	}
 	var probs []string
 	if len(decl.Tables) != len(m.Tables) {
 		probs = append(probs, fmt.Sprintf("table count: blueprint declares %d, manifest recorded %d",
@@ -311,9 +298,8 @@ func ProcFingerprint(c *proc.Compiled) uint64 {
 // fold the blueprint's seed through it, so a drifted population is caught at
 // restart instead of corrupting replay.
 type SeedHash struct {
-	h    uint64
-	rows int
-	buf  []byte
+	h   uint64
+	buf []byte
 }
 
 // NewSeedHash returns an empty fingerprint accumulator.
@@ -321,12 +307,8 @@ func NewSeedHash() *SeedHash {
 	return &SeedHash{h: 14695981039346656037} // FNV-64a offset basis
 }
 
-// Rows returns how many rows have been folded.
-func (s *SeedHash) Rows() int { return s.rows }
-
 // Row folds one seeded row (in seeding order).
 func (s *SeedHash) Row(table string, key uint64, vals tuple.Tuple) {
-	s.rows++
 	s.buf = s.buf[:0]
 	s.buf = appendString(s.buf, table)
 	s.buf = binary.LittleEndian.AppendUint64(s.buf, key)

@@ -161,7 +161,8 @@ func TestRestartRoundTrip(t *testing.T) {
 }
 
 // TestRestartValidatesBlueprint: a restart whose blueprint reorders or
-// drops a procedure, reshapes a table, or changes the seed must fail with
+// drops a procedure, reshapes a table, or changes or drops the seed must
+// fail with
 // ErrBlueprintMismatch and a diagnostic naming the divergence — not
 // silently misreplay the command log.
 func TestRestartValidatesBlueprint(t *testing.T) {
@@ -199,6 +200,10 @@ func TestRestartValidatesBlueprint(t *testing.T) {
 				orig(seed)
 				seed("Stats", 99, Tuple{tuple.I(99), tuple.I(0)})
 			}
+			return b
+		}, "population"},
+		{"nil seed", func(b Blueprint) Blueprint {
+			b.Seed = nil
 			return b
 		}, "population"},
 	}
@@ -239,42 +244,6 @@ func TestRestartSchemeKindMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2.Close()
-}
-
-// TestRestartRejectsAdoptedInstance: an instance whose population bypassed
-// the fingerprinting seed path (Adopt + direct populate) persists an
-// unvalidatable manifest, and Restart must refuse it — pointing at the
-// offline Recover path — rather than let a nil-seed blueprint validate
-// against a catalog whose population it cannot prove.
-func TestRestartRejectsAdoptedInstance(t *testing.T) {
-	w := workload.NewBank(10)
-	d := Adopt(w.DB(), w.Registry(), Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	w.Populate(workload.DirectPopulate{})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	s := d.MustSession()
-	if _, err := s.Exec("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}); err != nil {
-		t.Fatal(err)
-	}
-	s.Retire()
-	d.Close()
-	d.Crash()
-
-	spec := workload.Spec(workload.NewBank(10))
-	bp := Blueprint{Tables: spec.Tables, Procedures: spec.Procs}
-	_, _, err := Restart(d.Devices(), bp, RecoverConfig{Threads: 1})
-	if !errors.Is(err, ErrBlueprintMismatch) || !strings.Contains(err.Error(), "Recover") {
-		t.Fatalf("adopted-instance restart: err = %v, want ErrBlueprintMismatch pointing at Recover", err)
-	}
-
-	// The offline path still recovers such devices.
-	w2 := workload.NewBank(10)
-	d2 := Adopt(w2.DB(), w2.Registry(), Options{ExistingDevices: d.Devices()})
-	w2.Populate(workload.DirectPopulate{})
-	if _, err := d2.Recover(d.Devices(), CLRP, RecoverConfig{Threads: 1}); err != nil {
-		t.Fatalf("offline recovery of adopted instance: %v", err)
-	}
 }
 
 func TestRestartWithoutManifest(t *testing.T) {
@@ -362,40 +331,36 @@ func deltaFor(k uint64, n, accounts int) int64 {
 }
 
 func TestOptionsMaxRetries(t *testing.T) {
-	if got := Open(Options{MaxRetries: 7}).mgr.Config().MaxRetries; got != 7 {
-		t.Errorf("MaxRetries = %d, want 7", got)
-	}
-	if got := Open(Options{}).mgr.Config().MaxRetries; got != 10000 {
-		t.Errorf("default MaxRetries = %d, want 10000", got)
-	}
-	b := workload.NewBank(4)
-	if got := Adopt(b.DB(), b.Registry(), Options{MaxRetries: 3}).mgr.Config().MaxRetries; got != 3 {
-		t.Errorf("Adopt MaxRetries = %d, want 3", got)
+	for _, tc := range []struct{ set, want int }{{7, 7}, {0, 10000}} {
+		d, err := Launch(bankBlueprint(4), Options{MaxRetries: tc.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.mgr.Config().MaxRetries; got != tc.want {
+			t.Errorf("MaxRetries %d: got %d, want %d", tc.set, got, tc.want)
+		}
+		d.Close()
 	}
 }
 
-// TestStartErrorVariantAndMustTwins audits the constructor pairs: Start
-// returns an error (nil on the idempotent second call), and every panicking
-// twin follows the Must* convention.
+// TestStartErrorVariantAndMustTwins audits the constructor pairs: Launch
+// returns an error for a broken blueprint, and every panicking twin follows
+// the Must* convention.
 func TestStartErrorVariantAndMustTwins(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(); err != nil {
-		t.Fatalf("second Start: %v", err)
-	}
-	s := d.MustSession()
-	s.Retire()
+	d := MustLaunch(bankBlueprint(4), Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	fe := d.MustFrontend(FrontendConfig{Workers: 1})
 	fe.Close()
 	d.Close()
 
-	cold, _ := openBank(Options{})
+	bad := bankBlueprint(4)
+	bad.Seed = func(seed Seeder) { seed("Nope", 1, Tuple{tuple.I(1)}) }
+	if _, err := Launch(bad, Options{}); err == nil || !strings.Contains(err.Error(), "undeclared table") {
+		t.Fatalf("Launch with a broken seed: err = %v", err)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("MustFrontend before Start should panic")
+			t.Error("MustLaunch with a broken seed should panic")
 		}
 	}()
-	cold.MustFrontend(FrontendConfig{})
+	MustLaunch(bad, Options{})
 }

@@ -30,19 +30,11 @@
 // procedures, or seed), recovers, and returns a started instance whose
 // epoch clock and WAL resume past the recovered tail.
 //
-// The step-by-step Open → DefineTable → Register → Populate → Start dance
-// remains available for callers that build catalogs imperatively (the
-// experiment harness adopts pre-built workload catalogs via Adopt), and
-// DB.Recover remains the offline-recovery escape hatch for devices without
-// a manifest.
-//
 // The Frontend multiplexes any number of client goroutines over a bounded
-// session pool and owns heartbeating; raw Sessions remain available for
-// callers that need to pin one worker per goroutine (see Session).
+// session pool and owns heartbeating.
 package pacman
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -94,8 +86,6 @@ type (
 	Row = engine.Row
 	// GDG is the global dependency graph from static analysis.
 	GDG = analysis.GDG
-	// ReplayMode selects CLR-P's parallelism level.
-	ReplayMode = sched.Mode
 	// SnapshotView is a pinned consistent snapshot of the database at a
 	// released epoch: reads through it never latch rows, never join OCC
 	// validation, and therefore never abort writers. Close it when done so
@@ -132,13 +122,6 @@ const (
 	CLRP       = recovery.CLRP
 )
 
-// Replay modes for CLR-P (the Figure 18/19 ablations).
-const (
-	StaticOnly  = sched.StaticOnly
-	Synchronous = sched.Synchronous
-	Pipelined   = sched.Pipelined
-)
-
 // Argument helpers, re-exported so applications (and pacmand wire clients)
 // can build Args without importing the internal packages: each parameter is
 // a value list, so Args{A(I(7)), A(I(100))} invokes a two-parameter
@@ -164,29 +147,16 @@ type Options struct {
 	// PhysicalLogging, or LogicalLogging for durability.
 	Logging LogKind
 	// Devices is the number of simulated storage devices (default 2, like
-	// the paper's two-SSD setup). Ignored when ExistingDevices is set.
+	// the paper's two-SSD setup). Restart ignores it and reuses the crashed
+	// instance's devices.
 	Devices int
 	// DeviceConfig models each device; zero value means unlimited speed.
 	DeviceConfig DeviceConfig
-	// ExistingDevices reuses externally created devices (shared between a
-	// crashed instance and its recovering successor).
-	ExistingDevices []*Device
 	// EpochInterval is the group-commit epoch length (default 10ms).
 	EpochInterval time.Duration
 	// BatchEpochs is the number of epochs per log batch file (default 100,
 	// per the paper's Appendix A).
 	BatchEpochs uint32
-	// DisableSync skips fsync on log flushes (Table 3's "w/o fsync").
-	DisableSync bool
-	// SingleVersion disables the version chains kept on update (multi-
-	// version retention is the default and is required for online
-	// checkpointing to run concurrently with transactions).
-	SingleVersion bool
-	// CheckpointEvery enables periodic checkpointing at this interval.
-	CheckpointEvery time.Duration
-	// CheckpointThreads is the checkpoint writer thread count (default 1
-	// per device).
-	CheckpointThreads int
 	// MaxRetries bounds OCC retries per transaction before the conflict
 	// surfaces to the caller (default 10000).
 	MaxRetries int
@@ -199,12 +169,6 @@ type Options struct {
 	// self-contained value records (see docs/ARCHITECTURE.md, "Sharding &
 	// cross-shard commit"). Unknown names are ignored.
 	ValueLogProcs []string
-	// OnRelease observes transactions whose results become durable (group
-	// commit released). It rides the same release path that resolves
-	// durable-commit Futures; prefer per-request Futures (Session.Submit,
-	// Frontend.Submit) for new code — they carry per-transaction
-	// (TS, ExecAt, DurableAt) instead of one global hook.
-	OnRelease func(ts []TS, start []time.Time)
 	// Health tunes the gray-failure watchdog (zero value: enabled with
 	// generous budgets scaled off EpochInterval).
 	Health HealthConfig
@@ -233,9 +197,6 @@ type HealthConfig struct {
 	EpochStallBudget time.Duration
 	// PepochStallBudget bounds how long the persisted epoch may fail to
 	// advance while logging is active (default max(100×EpochInterval, 2s)).
-	// Note the SiloR liveness contract: an idle raw Session that never
-	// heartbeats stalls the pepoch legitimately — this signal assumes
-	// Frontends (which heartbeat internally) or well-behaved Sessions.
 	PepochStallBudget time.Duration
 	// SyncLatencyBudget bounds a log device's sync latency — the worst over
 	// devices of max(EWMA, in-flight sync age), so a sync that never
@@ -273,8 +234,9 @@ func (h HealthConfig) withDefaults(epoch time.Duration) HealthConfig {
 	return h
 }
 
-// DB is a database instance: catalog, transaction manager, loggers, and
-// (optionally) a checkpoint daemon.
+// DB is a database instance: catalog, transaction manager, loggers, version
+// retention, and the health watchdog. Launch and Restart are the only ways
+// to get one, and both return it started and servable.
 type DB struct {
 	opts    Options
 	db      *engine.Database
@@ -282,13 +244,11 @@ type DB struct {
 	mgr     *txn.Manager
 	logset  *wal.LogSet
 	snap    *mvcc.Manager
-	daemon  *checkpoint.Daemon
 	devices []*Device
-	started bool
-	gdg     *analysis.GDG
 
-	// seedHash fingerprints the deterministic initial population as rows
-	// pass through Seed; the fingerprint lands in the catalog manifest.
+	// seedHash fingerprints the deterministic initial population as the
+	// blueprint seed installs it; the fingerprint lands in the catalog
+	// manifest.
 	seedHash *wal.SeedHash
 	// resumePepoch is the restart floor: the epoch up to which the devices
 	// were already durable when this (restarted) instance took over.
@@ -313,27 +273,9 @@ type DB struct {
 	brownout  atomic.Bool
 }
 
-// Adopt wraps a pre-built catalog and procedure registry (e.g., one of the
-// internal/workload benchmarks) in a DB instance. The experiment harness
-// uses it to avoid re-declaring benchmark schemas; note that populations
-// installed directly against the adopted catalog bypass Seed, so the
-// persisted manifest carries no seed fingerprint and the instance cannot be
-// validated by Restart — recover adopted instances with DB.Recover.
-func Adopt(db *engine.Database, reg *proc.Registry, opts Options) *DB {
-	d := Open(opts)
-	d.db = db
-	d.reg = reg
-	d.mgr = txn.NewManager(db, txn.Config{
-		MultiVersion:  !opts.SingleVersion,
-		EpochInterval: d.opts.EpochInterval,
-		MaxRetries:    d.opts.MaxRetries,
-	})
-	return d
-}
-
-// Open creates a database instance. Define tables and procedures, populate,
-// then Start. (Launch bundles these steps from a Blueprint.)
-func Open(opts Options) *DB {
+// open creates an empty, not-started instance over devices, or over fresh
+// simulated devices when devices is nil.
+func open(opts Options, devices []*Device) *DB {
 	if opts.Devices <= 0 {
 		opts.Devices = 2
 	}
@@ -348,6 +290,7 @@ func Open(opts Options) *DB {
 		db:       engine.NewDatabase(),
 		reg:      proc.NewRegistry(),
 		seedHash: wal.NewSeedHash(),
+		devices:  devices,
 	}
 	if len(opts.ValueLogProcs) > 0 {
 		d.valueLog = make(map[string]bool, len(opts.ValueLogProcs))
@@ -355,68 +298,25 @@ func Open(opts Options) *DB {
 			d.valueLog[name] = true
 		}
 	}
-	if len(opts.ExistingDevices) > 0 {
-		d.devices = opts.ExistingDevices
-	} else {
+	if d.devices == nil {
 		for i := 0; i < opts.Devices; i++ {
 			d.devices = append(d.devices, simdisk.New(fmt.Sprintf("ssd%d", i), opts.DeviceConfig))
 		}
 	}
 	d.mgr = txn.NewManager(d.db, txn.Config{
-		MultiVersion:  !opts.SingleVersion,
+		MultiVersion:  true,
 		EpochInterval: opts.EpochInterval,
 		MaxRetries:    opts.MaxRetries,
 	})
 	return d
 }
 
-// DefineTable adds a table to the catalog. All tables must be defined
-// before procedures referencing them are registered, and in the same order
-// between a logging run and its recovery run.
-func (d *DB) DefineTable(s *Schema) (*Table, error) {
-	return d.db.AddTable(s)
-}
-
-// MustDefineTable is DefineTable that panics on error.
-func (d *DB) MustDefineTable(s *Schema) *Table {
-	return d.db.MustAddTable(s)
-}
-
-// Register compiles and registers a stored procedure. Registration order
-// assigns the procedure IDs recorded in command logs, so it must match
-// between the logging run and recovery.
-func (d *DB) Register(p *Procedure) error {
-	_, err := d.reg.Register(d.db, p)
-	return err
-}
-
-// MustRegister is Register that panics on error.
-func (d *DB) MustRegister(p *Procedure) {
-	d.reg.MustRegister(d.db, p)
-}
-
 // Table returns a table handle.
 func (d *DB) Table(name string) *Table { return d.db.Table(name) }
 
-// Seed installs one initial row (population happens before Start; it is
-// not logged and must be deterministic so recovery can reproduce it when no
-// checkpoint exists). Every seeded row folds into the instance's seed
-// fingerprint, which Start persists in the catalog manifest and Restart
-// validates against the blueprint's seed.
-func (d *DB) Seed(t *Table, key uint64, vals Tuple) {
-	d.seedHash.Row(t.Name(), key, vals)
-	r, _ := t.GetOrCreateRow(key)
-	r.Install(engine.MakeTS(0, 1), vals, false, !d.opts.SingleVersion)
-}
-
-// Populate runs a seeding function against the catalog.
-func (d *DB) Populate(fn func(seed func(t *Table, key uint64, vals Tuple))) {
-	fn(d.Seed)
-}
-
 // Analyze runs the static analysis over the registered log-generating
 // procedures (those containing at least one modification) and returns the
-// global dependency graph. Start calls it implicitly; it is exposed for
+// global dependency graph. CLR-P recovery runs it; it is exposed for
 // inspection tools.
 func (d *DB) Analyze() *GDG {
 	var ldgs []*analysis.LDG
@@ -435,76 +335,35 @@ func (d *DB) Analyze() *GDG {
 	return analysis.BuildGDG(ldgs)
 }
 
-// Start launches the epoch clock, loggers, and checkpoint daemon, runs the
-// static analysis, and persists the catalog manifest (table schemas,
-// procedure registration order and fingerprints, logging kind, batch
-// geometry, seed fingerprint) to the first device so a later Restart can
-// validate its blueprint against what was actually logged. Calling Start on
-// a started instance is a no-op returning nil.
-func (d *DB) Start() error {
-	if d.started {
-		return nil
+// start persists the catalog manifest (table schemas, procedure
+// registration order and fingerprints, logging kind, batch geometry, seed
+// fingerprint) to the first device, so a later Restart can validate its
+// blueprint against what was actually logged, then launches the epoch
+// clock, loggers, version retention, and watchdog.
+func (d *DB) start() error {
+	if err := wal.WriteCatalogManifest(d.devices[0], d.catalogManifest()); err != nil {
+		return fmt.Errorf("pacman: persisting catalog manifest: %w", err)
 	}
-	d.gdg = d.Analyze()
-	if len(d.devices) > 0 {
-		if err := wal.WriteCatalogManifest(d.devices[0], d.catalogManifest()); err != nil {
-			return fmt.Errorf("pacman: persisting catalog manifest: %w", err)
-		}
-	}
-	// Only now is the instance committed to starting: a failed manifest
-	// write leaves it fresh, so Start can be retried and the not-started
-	// guards (NewSession, NewFrontend) keep rejecting.
-	d.started = true
 	d.mgr.StartEpochTicker()
-	if !d.opts.SingleVersion {
-		// The retention manager: version chains grow with forward processing
-		// and are cut back as the persistent-epoch frontier advances (the
-		// OnPepochAdvance kick below), or on the ticker when logging is off.
-		d.snap = mvcc.NewManager(d.db, mvcc.Config{
-			SnapshotEpoch:  d.mgr.SnapshotEpoch,
-			PersistedEpoch: d.PersistedEpoch,
-			Interval:       4 * d.opts.EpochInterval,
-		})
-	}
 	cfg := wal.Config{
-		Kind:          d.opts.Logging,
-		BatchEpochs:   d.opts.BatchEpochs,
-		FlushInterval: d.opts.EpochInterval / 4,
-		Sync:          !d.opts.DisableSync,
-		ResumeEpoch:   d.resumePepoch,
-	}
-	if d.snap != nil {
-		cfg.OnPepochAdvance = func(uint32) { d.snap.Kick() }
-	}
-	if d.opts.OnRelease != nil {
-		rel := d.opts.OnRelease
-		cfg.OnRelease = func(cs []*txn.Committed) {
-			tss := make([]TS, len(cs))
-			starts := make([]time.Time, len(cs))
-			for i, c := range cs {
-				tss[i] = c.TS
-				starts[i] = c.Start
-			}
-			rel(tss, starts)
-		}
+		Kind:            d.opts.Logging,
+		BatchEpochs:     d.opts.BatchEpochs,
+		FlushInterval:   d.opts.EpochInterval / 4,
+		Sync:            true,
+		ResumeEpoch:     d.resumePepoch,
+		OnPepochAdvance: func(uint32) { d.snap.Kick() },
 	}
 	d.logset = wal.NewLogSet(d.mgr, cfg, d.devices)
+	// The retention manager: version chains grow with forward processing
+	// and are cut back on each pepoch advance, or on the ticker when
+	// logging is off.
+	d.snap = mvcc.NewManager(d.db, mvcc.Config{
+		SnapshotEpoch:  d.mgr.SnapshotEpoch,
+		PersistedEpoch: d.logset.PersistedEpoch,
+		Interval:       4 * d.opts.EpochInterval,
+	})
 	d.logset.Start()
-	if d.snap != nil {
-		d.snap.Start()
-	}
-	if d.opts.CheckpointEvery > 0 {
-		ct := d.opts.CheckpointThreads
-		if ct <= 0 {
-			ct = len(d.devices)
-		}
-		d.daemon = checkpoint.NewDaemon(d.mgr, d.snap, d.devices, checkpoint.Config{
-			Threads:      ct,
-			IncludeSlots: d.opts.Logging == wal.Physical,
-		}, d.opts.CheckpointEvery)
-		d.daemon.SeedIDs(d.ckptSeed)
-		d.daemon.Start()
-	}
+	d.snap.Start()
 	if !d.opts.Health.Disable {
 		d.startWatchdog()
 	}
@@ -591,8 +450,8 @@ func (d *DB) setBrownout(on bool) {
 }
 
 // Health returns the watchdog's current snapshot: state, per-signal values
-// against budgets, and the retained transition history. A disabled (or
-// not-started) watchdog reports a healthy snapshot with no signals.
+// against budgets, and the retained transition history. A disabled watchdog
+// reports a healthy snapshot with no signals.
 func (d *DB) Health() HealthSnapshot {
 	if d.watchdog == nil {
 		return HealthSnapshot{State: health.Healthy.String()}
@@ -604,21 +463,9 @@ func (d *DB) Health() HealthSnapshot {
 // brownout (every frontend shedding new work).
 func (d *DB) Brownout() bool { return d.brownout.Load() }
 
-// SyncStats reports per-device log sync-latency telemetry (nil when logging
-// is off or the instance is not started).
-func (d *DB) SyncStats() []SyncStats {
-	if d.logset == nil {
-		return nil
-	}
-	return d.logset.SyncStats()
-}
-
-// MustStart is Start that panics on error.
-func (d *DB) MustStart() {
-	if err := d.Start(); err != nil {
-		panic(err)
-	}
-}
+// SyncStats reports per-device log sync-latency telemetry (empty when
+// logging is off).
+func (d *DB) SyncStats() []SyncStats { return d.logset.SyncStats() }
 
 // catalogManifest builds the manifest describing this instance's catalog,
 // registration order, logging configuration, and seed fingerprint.
@@ -633,7 +480,6 @@ func (d *DB) catalogManifest() *wal.CatalogManifest {
 		EpochNanos:  uint64(d.opts.EpochInterval),
 		SeedFP:      d.seedHash.Sum(),
 	}
-	var populated bool
 	for _, t := range d.db.Tables() {
 		s := t.Schema()
 		td := wal.TableDef{Name: t.Name()}
@@ -641,23 +487,12 @@ func (d *DB) catalogManifest() *wal.CatalogManifest {
 			td.Columns = append(td.Columns, s.Column(i))
 		}
 		m.Tables = append(m.Tables, td)
-		populated = populated || t.NumSlots() > 0
-	}
-	if populated && d.seedHash.Rows() == 0 {
-		// Rows exist that never passed through Seed (an adopted catalog
-		// populated directly): the fingerprint cannot vouch for the
-		// population, so mark the manifest unvalidatable — Restart will
-		// refuse it and point at the offline Recover path.
-		m.SeedFP = wal.SeedUnverified
 	}
 	for _, c := range d.reg.All() {
 		m.Procs = append(m.Procs, wal.ProcDef{Name: c.Name(), Fingerprint: wal.ProcFingerprint(c)})
 	}
 	return m
 }
-
-// GDGraph returns the dependency graph built at Start (nil before Start).
-func (d *DB) GDGraph() *GDG { return d.gdg }
 
 // Procedures returns the registered procedure names in registration order —
 // the order that assigns procedure IDs, both in command logs and in the
@@ -675,45 +510,22 @@ func (d *DB) Procedures() []string {
 func (d *DB) Devices() []*Device { return d.devices }
 
 // PersistedEpoch returns the current durable epoch.
-func (d *DB) PersistedEpoch() uint32 {
-	if d.logset == nil {
-		return d.mgr.SafeEpoch()
-	}
-	return d.logset.PersistedEpoch()
-}
-
-// CheckpointRunning reports whether a checkpoint is being written.
-func (d *DB) CheckpointRunning() bool {
-	return d.daemon != nil && d.daemon.Running()
-}
+func (d *DB) PersistedEpoch() uint32 { return d.logset.PersistedEpoch() }
 
 // Checkpoint takes one checkpoint immediately. Checkpoint ids increase
 // monotonically, and a restarted instance numbers past the checkpoint it
 // recovered from, so a newer checkpoint always wins FindLatest.
 func (d *DB) Checkpoint() error {
-	if d.daemon != nil {
-		_, err := d.daemon.RunOnce()
-		return err
-	}
-	ts := engine.MakeTS(d.mgr.SnapshotEpoch(), ^uint32(0))
-	if d.snap != nil {
-		// Pin the cut so garbage collection cannot truncate the history the
-		// checkpoint is streaming while commits continue alongside it.
-		v := d.snap.AcquireFresh()
-		defer v.Close()
-		ts = v.TS()
-	}
+	// Pin the cut so garbage collection cannot truncate the history the
+	// checkpoint is streaming while commits continue alongside it.
+	v := d.snap.AcquireFresh()
+	defer v.Close()
 	_, err := checkpoint.Write(d.db, d.devices, checkpoint.Config{
 		Threads:      len(d.devices),
 		IncludeSlots: d.opts.Logging == wal.Physical,
-	}, d.ckptSeed+d.manualCkpts.Add(1), ts)
+	}, d.ckptSeed+d.manualCkpts.Add(1), v.TS())
 	return err
 }
-
-// ErrSingleVersion rejects snapshot reads on an instance running with
-// Options.SingleVersion: without retained version chains there is no
-// consistent historic cut to read.
-var ErrSingleVersion = errors.New("pacman: snapshot views require multi-version retention (unset Options.SingleVersion)")
 
 // Snapshot-view errors for explicit-epoch requests, re-exported so callers
 // can classify without importing internals.
@@ -734,48 +546,29 @@ var (
 // the view when done — its epoch is pinned against version garbage
 // collection until then.
 func (d *DB) SnapshotView(epoch uint32) (*SnapshotView, error) {
-	if !d.started {
-		return nil, ErrNotStarted
-	}
-	if d.snap == nil {
-		return nil, ErrSingleVersion
-	}
 	if epoch == 0 {
 		return d.snap.Acquire(), nil
 	}
 	return d.snap.AcquireAt(epoch)
 }
 
-// MVCCStats reports the multi-version subsystem's counters (zero value on a
-// single-version or not-started instance).
-func (d *DB) MVCCStats() MVCCStats {
-	if d.snap == nil {
-		return MVCCStats{}
-	}
-	return d.snap.Stats()
-}
+// MVCCStats reports the multi-version subsystem's counters.
+func (d *DB) MVCCStats() MVCCStats { return d.snap.Stats() }
 
 // Epoch returns the current (open) commit epoch; the difference to a
 // SnapshotView's Epoch is the view's staleness.
 func (d *DB) Epoch() uint32 { return d.mgr.Epoch() }
 
-// Close shuts the instance down cleanly: retires nothing by itself (retire
-// sessions first), flushes all logs, and stops background goroutines.
+// Close shuts the instance down cleanly: closes no Frontend by itself
+// (close them first), flushes all logs, and stops background goroutines.
 func (d *DB) Close() {
 	if d.watchdog != nil {
 		d.watchdog.Stop()
 	}
-	if d.daemon != nil {
-		d.daemon.Stop()
-	}
-	if d.snap != nil {
-		d.snap.Stop()
-	}
+	d.snap.Stop()
 	d.mgr.Stop()
-	if d.logset != nil {
-		d.mgr.AdvanceEpoch()
-		d.logset.Close()
-	}
+	d.mgr.AdvanceEpoch()
+	d.logset.Close()
 }
 
 // Crash simulates a power failure: all background work halts instantly and
@@ -785,32 +578,21 @@ func (d *DB) Crash() {
 	if d.watchdog != nil {
 		d.watchdog.Stop()
 	}
-	if d.daemon != nil {
-		d.daemon.Stop()
-	}
-	if d.snap != nil {
-		d.snap.Stop()
-	}
+	d.snap.Stop()
 	d.mgr.Stop()
-	if d.logset != nil {
-		// A flush blocked inside a gray hung-sync fault must fail now, or
-		// Abort's pipeline join would deadlock on it.
-		for _, dev := range d.devices {
-			dev.FailHungSyncs()
-		}
-		d.logset.Abort()
+	// A flush blocked inside a gray hung-sync fault must fail now, or
+	// Abort's pipeline join would deadlock on it.
+	for _, dev := range d.devices {
+		dev.FailHungSyncs()
 	}
+	d.logset.Abort()
 	for _, dev := range d.devices {
 		dev.Crash()
 	}
 }
 
-// ErrNotStarted is returned by NewSession and NewFrontend (and panicked by
-// Session) when the database has not been started.
-var ErrNotStarted = errors.New("pacman: database not started")
-
 // Future is the durable-commit handle returned by the asynchronous
-// submission APIs (Session.Submit, Frontend.Submit). It resolves when the
+// submission APIs (Frontend.Submit and its variants). It resolves when the
 // transaction's epoch is group-commit released, carrying the commit
 // timestamp and the ExecAt/DurableAt instants for per-request latency
 // measurement; it resolves with an error when execution fails or the
@@ -823,7 +605,7 @@ type Future = txn.Future
 //   - ErrCrashed: the transaction EXECUTED (its in-memory effects were
 //     visible) but was not durable at the crash; recovery will not replay it.
 //   - ErrClosed: the transaction EXECUTED but its epoch was never released
-//     before Close (e.g. an unretired raw Session held back the safe epoch).
+//     before Close (e.g. a Frontend left open held back the safe epoch).
 //   - ErrFrontendClosed (frontend.go): the submission was REJECTED by a
 //     closed Frontend and never executed at all.
 var (
@@ -845,137 +627,24 @@ var (
 	ErrBrownout         = frontend.ErrBrownout
 )
 
-// Session is a worker-thread handle for executing transactions, pinned to
-// one goroutine. It is the low-level API: the caller owns the SiloR
-// liveness contract — an idle Session must Heartbeat (or Retire), or group
-// commit stalls on it. Most applications should use a Frontend instead,
-// which multiplexes client goroutines over a session pool and heartbeats
-// internally.
-type Session struct {
-	d *DB
-	w *txn.Worker
-}
-
-// NewSession creates a new execution session, or returns ErrNotStarted
-// before Start.
-func (d *DB) NewSession() (*Session, error) {
-	if !d.started {
-		return nil, ErrNotStarted
-	}
-	w := d.mgr.NewWorker()
-	d.logset.AttachWorker(w)
-	return &Session{d: d, w: w}, nil
-}
-
-// MustSession is NewSession that panics on error — the panicking twin of
-// NewSession, following the same convention as MustDefineTable/MustRegister
-// (every constructor has an error variant and a Must* twin).
-func (d *DB) MustSession() *Session {
-	s, err := d.NewSession()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Session is MustSession under its original name.
-//
-// Deprecated: use NewSession (error variant) or MustSession (panicking
-// twin); Session predates the Must* naming convention.
-func (d *DB) Session() *Session { return d.MustSession() }
-
-// Exec runs a stored procedure by name and returns its commit timestamp.
-// The result is NOT durable yet when Exec returns — durability arrives with
-// the epoch's group-commit release; use Submit to observe it per request.
-func (s *Session) Exec(name string, args Args) (TS, error) {
-	c := s.d.reg.ByName(name)
-	if c == nil {
-		return 0, fmt.Errorf("pacman: unknown procedure %q", name)
-	}
-	return s.w.Execute(c, args, false, time.Now())
-}
-
-// ExecAdHoc runs a procedure as an ad-hoc transaction: its effects are
-// durable through tuple-level logical logging rather than command logging
-// (Section 4.5).
-func (s *Session) ExecAdHoc(name string, args Args) (TS, error) {
-	c := s.d.reg.ByName(name)
-	if c == nil {
-		return 0, fmt.Errorf("pacman: unknown procedure %q", name)
-	}
-	return s.w.Execute(c, args, true, time.Now())
-}
-
-// Submit executes a stored procedure on the calling goroutine and returns
-// its durable-commit Future: Submit returns as soon as execution commits,
-// and the Future resolves when the commit's epoch is group-commit released.
-//
-// The session's liveness contract still applies while waiting: a goroutine
-// that blocks on the Future with its session idle must Heartbeat (or
-// Retire) first, or group commit stalls on the session and the Future
-// never resolves. Frontend.Submit has no such requirement — the pool
-// heartbeats internally.
-func (s *Session) Submit(name string, args Args) *Future {
-	return s.submit(name, args, false)
-}
-
-// SubmitAdHoc is Submit for ad-hoc transactions.
-func (s *Session) SubmitAdHoc(name string, args Args) *Future {
-	return s.submit(name, args, true)
-}
-
-func (s *Session) submit(name string, args Args, adHoc bool) *Future {
-	fut := txn.NewFuture(time.Now())
-	c := s.d.reg.ByName(name)
-	if c == nil {
-		fut.Resolve(time.Now(), fmt.Errorf("pacman: unknown procedure %q", name))
-		return fut
-	}
-	s.w.ExecuteFuture(fut, c, args, adHoc)
-	return fut
-}
-
-// Heartbeat publishes liveness while the session is idle; call it when the
-// session has no transaction in flight (e.g., an empty request queue), or
-// group commit stalls waiting for this session. Frontend owns this
-// internally — only raw Session users need it.
-func (s *Session) Heartbeat() { s.w.Heartbeat() }
-
-// Retire marks the session finished.
-func (s *Session) Retire() { s.w.Retire() }
-
-// RecoverConfig tunes Restart and DB.Recover.
+// RecoverConfig tunes Restart.
 type RecoverConfig struct {
-	// Scheme pins the recovery scheme for Restart. The default, AutoScheme,
-	// derives it from the logging kind in the devices' catalog manifest
-	// (physical→PLR, logical→LLR, command→CLR-P). DB.Recover ignores this
-	// field — its scheme is an explicit parameter.
+	// Scheme pins the recovery scheme. The default, AutoScheme, derives it
+	// from the logging kind in the devices' catalog manifest
+	// (physical→PLR, logical→LLR, command→CLR-P).
 	Scheme Scheme
-	// Serve configures the restarted instance's serving behavior (Restart
-	// only): EpochInterval, DisableSync, SingleVersion, CheckpointEvery,
-	// CheckpointThreads, MaxRetries, OnRelease. The logging kind, batch
-	// geometry, and devices always come from the manifest and the device
-	// slice — Logging, BatchEpochs, Devices, and ExistingDevices set here
-	// are overridden — and a zero EpochInterval inherits the crashed
+	// Serve configures the restarted instance's serving behavior:
+	// EpochInterval, MaxRetries, ValueLogProcs, Health. The logging kind,
+	// batch geometry, and devices always come from the manifest and the
+	// device slice — Logging, BatchEpochs, Devices, and DeviceConfig set
+	// here are ignored — and a zero EpochInterval inherits the crashed
 	// instance's group-commit cadence from the manifest.
 	Serve Options
 	// Threads is the recovery parallelism (default 1).
 	Threads int
-	// Mode selects CLR-P's parallelism (default Pipelined).
-	Mode ReplayMode
-	// DisableLatches is the Figure 15 unsafe toggle for PLR/LLR.
-	DisableLatches bool
 	// Breakdown receives the Figure 20 phase split when non-nil (use
 	// NewBreakdown).
 	Breakdown *Breakdown
-	// SkipCheckpoint ignores checkpoints on the devices.
-	SkipCheckpoint bool
-	// SerialReload uses the legacy one-batch-at-a-time log feeder instead
-	// of the pipelined multi-device reloader (baseline measurements only).
-	SerialReload bool
-	// ReloadWindow bounds how many batches the pipelined reloader stages
-	// ahead of replay (default 4).
-	ReloadWindow int
 }
 
 // Breakdown re-exports the metrics breakdown for recovery instrumentation.
@@ -983,37 +652,3 @@ type Breakdown = metrics.Breakdown
 
 // NewBreakdown allocates a Figure 20 recovery-time breakdown.
 func NewBreakdown() *Breakdown { return sched.NewBreakdown() }
-
-// Recover rebuilds this (fresh, populated, not-started) instance from the
-// logs and checkpoints on the given devices using the chosen scheme. It is
-// the offline escape hatch: the recovered instance is not started and the
-// catalog is taken on faith — no manifest validation, no epoch resume, no
-// serving. Applications should Restart instead, which validates a Blueprint
-// against the persisted manifest and returns a started, servable instance;
-// Recover remains for the experiment harness (measuring recovery in
-// isolation) and for devices that predate the manifest.
-func (d *DB) Recover(from []*Device, scheme Scheme, cfg RecoverConfig) (*RecoveryResult, error) {
-	if d.started {
-		return nil, errors.New("pacman: recover into a fresh instance, not a started one")
-	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
-	opts := recovery.Options{
-		Scheme:         scheme,
-		DB:             d.db,
-		Registry:       d.reg,
-		Devices:        from,
-		Threads:        cfg.Threads,
-		DisableLatches: cfg.DisableLatches,
-		Mode:           cfg.Mode,
-		Breakdown:      cfg.Breakdown,
-		SkipCheckpoint: cfg.SkipCheckpoint,
-		SerialReload:   cfg.SerialReload,
-		ReloadWindow:   cfg.ReloadWindow,
-	}
-	if scheme == recovery.CLRP {
-		opts.GDG = d.Analyze()
-	}
-	return recovery.Run(opts)
-}

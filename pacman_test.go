@@ -9,78 +9,57 @@ import (
 	"pacman/internal/engine"
 	"pacman/internal/proc"
 	"pacman/internal/tuple"
-	"pacman/internal/workload"
 )
 
-// openBank opens a DB instance with the bank schema and procedures over the
-// public API.
-func openBank(opts Options) (*DB, *workload.Bank) {
-	b := workload.NewBank(40)
-	d := Open(opts)
-	// Rebuild the bank catalog through the public API (same order).
-	d.MustDefineTable(tuple.MustSchema("Family",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Spouse", tuple.KindInt)))
-	d.MustDefineTable(tuple.MustSchema("Current",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Value", tuple.KindInt)))
-	d.MustDefineTable(tuple.MustSchema("Saving",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Value", tuple.KindInt)))
-	d.MustDefineTable(tuple.MustSchema("Stats",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Count", tuple.KindInt)))
-	d.MustRegister(workload.BankTransferProc())
-	d.MustRegister(workload.BankDepositProc())
-	d.Populate(func(seed func(t *Table, key uint64, vals Tuple)) {
-		for i := 1; i <= 40; i++ {
-			spouse := int64(0)
-			if i%2 == 1 {
-				spouse = int64(i + 1)
-			} else {
-				spouse = int64(i - 1)
-			}
-			seed(d.Table("Family"), uint64(i), Tuple{tuple.I(int64(i)), tuple.I(spouse)})
-			seed(d.Table("Current"), uint64(i), Tuple{tuple.I(int64(i)), tuple.I(1000)})
-			seed(d.Table("Saving"), uint64(i), Tuple{tuple.I(int64(i)), tuple.I(100)})
-		}
-		for n := 1; n <= 10; n++ {
-			seed(d.Table("Stats"), uint64(n), Tuple{tuple.I(int64(n)), tuple.I(0)})
-		}
-	})
-	return d, b
+// launchBank launches the 40-account bank blueprint.
+func launchBank(tb testing.TB, opts Options) *DB {
+	tb.Helper()
+	d, err := Launch(bankBlueprint(40), opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 func TestOpenExecuteClose(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
-	s := d.Session()
-	ts, err := s.Exec("Transfer", Args{proc.A(tuple.I(1)), proc.A(tuple.I(50))})
+	d := launchBank(t, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
+	ts, err := fe.Exec("Transfer", Args{proc.A(tuple.I(1)), proc.A(tuple.I(50))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts == 0 {
 		t.Error("zero timestamp")
 	}
-	if _, err := s.Exec("Nope", nil); err == nil {
+	if _, err := fe.Exec("Nope", nil); err == nil {
 		t.Error("unknown procedure accepted")
 	}
 	r, _ := d.Table("Current").GetRow(1)
 	if r.LatestData()[1].Int() != 950 {
 		t.Errorf("balance = %d", r.LatestData()[1].Int())
 	}
-	s.Retire()
+	fe.Close()
 	d.Close()
 }
 
+// TestCrashRecoverRoundTrip recovers the same command log twice: first with
+// serial CLR, then — after crashing the CLR-restarted instance — with CLR-P
+// on the same devices. Both must reproduce the pre-crash state.
 func TestCrashRecoverRoundTrip(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
-	s := d.Session()
+	bp := bankBlueprint(40)
+	d, err := Launch(bp, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
 	for i := 0; i < 200; i++ {
-		if _, err := s.Exec("Deposit", Args{
+		if _, err := fe.Exec("Deposit", Args{
 			proc.A(tuple.I(int64(1 + i%40))), proc.A(tuple.I(7)), proc.A(tuple.I(int64(1 + i%10))),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Retire()
+	fe.Close()
 	// Clean flush so the full history is durable, then crash.
 	d.Close()
 	want := map[uint64]int64{}
@@ -91,8 +70,7 @@ func TestCrashRecoverRoundTrip(t *testing.T) {
 	d.Crash()
 
 	for _, scheme := range []Scheme{CLR, CLRP} {
-		d2, _ := openBank(Options{ExistingDevices: d.Devices()})
-		res, err := d2.Recover(d.Devices(), scheme, RecoverConfig{Threads: 2})
+		d2, res, err := Restart(d.Devices(), bp, RecoverConfig{Scheme: scheme, Threads: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -106,15 +84,19 @@ func TestCrashRecoverRoundTrip(t *testing.T) {
 				t.Fatalf("%v: key %d mismatch", scheme, k)
 			}
 		}
+		d2.Crash()
 	}
 }
 
 func TestCheckpointViaAPI(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
-	s := d.Session()
+	bp := bankBlueprint(40)
+	d, err := Launch(bp, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
 	for i := 0; i < 50; i++ {
-		if _, err := s.Exec("Deposit", Args{
+		if _, err := fe.Exec("Deposit", Args{
 			proc.A(tuple.I(int64(1 + i%40))), proc.A(tuple.I(5)), proc.A(tuple.I(1)),
 		}); err != nil {
 			t.Fatal(err)
@@ -123,25 +105,24 @@ func TestCheckpointViaAPI(t *testing.T) {
 	// Let the epoch clock tick past the first batch so the checkpoint's
 	// safe-epoch snapshot covers it.
 	time.Sleep(5 * time.Millisecond)
-	s.Heartbeat()
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := s.Exec("Deposit", Args{
+		if _, err := fe.Exec("Deposit", Args{
 			proc.A(tuple.I(int64(1 + i%40))), proc.A(tuple.I(5)), proc.A(tuple.I(1)),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.Retire()
+	fe.Close()
 	d.Close()
 	d.Crash()
-	d2, _ := openBank(Options{ExistingDevices: d.Devices()})
-	res, err := d2.Recover(d.Devices(), CLRP, RecoverConfig{Threads: 2})
+	d2, res, err := Restart(d.Devices(), bp, RecoverConfig{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d2.Close()
 	if res.CheckpointRows == 0 {
 		t.Error("checkpoint not used")
 	}
@@ -150,111 +131,47 @@ func TestCheckpointViaAPI(t *testing.T) {
 	}
 }
 
-func TestOnReleaseLatency(t *testing.T) {
-	var mu sync.Mutex
-	released := 0
-	d, _ := openBank(Options{
-		Logging:       CommandLogging,
-		EpochInterval: time.Millisecond,
-		OnRelease: func(ts []TS, start []time.Time) {
-			mu.Lock()
-			released += len(ts)
-			mu.Unlock()
-		},
-	})
-	d.Start()
-	s := d.Session()
-	for i := 0; i < 20; i++ {
-		if _, err := s.Exec("Deposit", Args{
-			proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1)),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Retire()
-	d.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if released != 20 {
-		t.Errorf("released = %d, want 20", released)
-	}
-}
-
 func TestAnalyzeExposesGDG(t *testing.T) {
-	d, _ := openBank(Options{})
-	g := d.Analyze()
-	if g.NumBlocks() != 4 {
+	d := launchBank(t, Options{})
+	defer d.Close()
+	if g := d.Analyze(); g.NumBlocks() != 4 {
 		t.Errorf("bank GDG blocks = %d, want 4", g.NumBlocks())
 	}
-	d.Start()
-	if d.GDGraph() == nil {
-		t.Error("GDG not retained at Start")
-	}
-	d.Close()
 }
 
-func TestSessionBeforeStartPanics(t *testing.T) {
-	d, _ := openBank(Options{})
-	defer func() {
-		if recover() == nil {
-			t.Error("Session before Start should panic")
-		}
-	}()
-	d.Session()
-}
-
-func TestNewSessionBeforeStartReturnsError(t *testing.T) {
-	d, _ := openBank(Options{})
-	if _, err := d.NewSession(); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("NewSession err = %v, want ErrNotStarted", err)
-	}
-	if _, err := d.NewFrontend(FrontendConfig{}); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("NewFrontend err = %v, want ErrNotStarted", err)
-	}
-	d.Start()
-	defer d.Close()
-	s, err := d.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Retire()
-}
-
+// TestSessionSubmitFuture: a Future submitted through the Frontend's
+// session pool resolves only once its epoch is durable, and an unknown
+// procedure resolves with an error instead of executing.
 func TestSessionSubmitFuture(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
-	s := d.Session()
-	if bad := s.Submit("Nope", nil); bad.Err() == nil {
+	d := launchBank(t, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	defer d.Close()
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
+	defer fe.Close()
+	if _, err := fe.Submit("Nope", nil).Wait(); err == nil {
 		t.Error("unknown procedure future resolved without error")
 	}
-	fut := s.Submit("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(3)), proc.A(tuple.I(1))})
-	// Submit returns after execution: the balance is already updated even
-	// though durability may still be pending.
-	r, _ := d.Table("Current").GetRow(1)
-	if r.LatestData()[1].Int() != 1003 {
-		t.Fatalf("balance after Submit = %d, want 1003", r.LatestData()[1].Int())
-	}
-	// A raw session must keep the liveness contract before blocking on its
-	// own future: an idle worker that neither heartbeats nor retires holds
-	// the safe epoch back and group commit would wait on it forever (the
-	// Frontend does this internally).
-	s.Retire()
-	ts, err := fut.Wait()
+	ts, err := fe.Submit("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(3)), proc.A(tuple.I(1))}).Wait()
 	if err != nil || ts == 0 {
 		t.Fatalf("Wait = (%v, %v)", ts, err)
 	}
 	if d.PersistedEpoch() < uint32(ts>>32) {
 		t.Fatalf("future durable at epoch %d but pepoch = %d", ts>>32, d.PersistedEpoch())
 	}
-	d.Close()
+	r, _ := d.Table("Current").GetRow(1)
+	if r.LatestData()[1].Int() != 1003 {
+		t.Fatalf("balance after durable deposit = %d, want 1003", r.LatestData()[1].Int())
+	}
 }
 
 // TestFrontendMultiplexAPI is the acceptance scenario at the public API: 64
 // client goroutines over an 8-session Frontend, every Future resolving with
 // a durable timestamp.
 func TestFrontendMultiplexAPI(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
+	bp := bankBlueprint(40)
+	d, err := Launch(bp, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fe, err := d.NewFrontend(FrontendConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -293,11 +210,11 @@ func TestFrontendMultiplexAPI(t *testing.T) {
 	}
 	// The recovered state must include every one of the 64×20 deposits.
 	d.Crash()
-	d2, _ := openBank(Options{ExistingDevices: d.Devices()})
-	res, err := d2.Recover(d.Devices(), CLRP, RecoverConfig{Threads: 2})
+	d2, res, err := Restart(d.Devices(), bp, RecoverConfig{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d2.Close()
 	if res.Entries != clients*perClient {
 		t.Fatalf("recovered %d entries, want %d", res.Entries, clients*perClient)
 	}
@@ -306,8 +223,7 @@ func TestFrontendMultiplexAPI(t *testing.T) {
 // TestFrontendCrashResolvesFutures: Crash with submissions in flight —
 // every future resolves durable or with ErrCrashed; nothing hangs.
 func TestFrontendCrashResolvesFutures(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
+	d := launchBank(t, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	fe, err := d.NewFrontend(FrontendConfig{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -366,31 +282,26 @@ func TestFrontendCrashResolvesFutures(t *testing.T) {
 	}
 }
 
-func TestRecoverIntoStartedInstanceFails(t *testing.T) {
-	d, _ := openBank(Options{})
-	d.Start()
-	defer d.Close()
-	if _, err := d.Recover(d.Devices(), CLRP, RecoverConfig{}); err == nil {
-		t.Error("recover into a started instance accepted")
-	}
-}
-
 func TestAdHocViaAPI(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
-	s := d.Session()
-	if _, err := s.ExecAdHoc("Deposit", Args{
+	bp := bankBlueprint(40)
+	d, err := Launch(bp, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
+	if _, err := fe.ExecAdHoc("Deposit", Args{
 		proc.A(tuple.I(2)), proc.A(tuple.I(11)), proc.A(tuple.I(1)),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.Retire()
+	fe.Close()
 	d.Close()
 	d.Crash()
-	d2, _ := openBank(Options{ExistingDevices: d.Devices()})
-	if _, err := d2.Recover(d.Devices(), CLRP, RecoverConfig{Threads: 2}); err != nil {
+	d2, _, err := Restart(d.Devices(), bp, RecoverConfig{Threads: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer d2.Close()
 	r, _ := d2.Table("Current").GetRow(2)
 	if r.LatestData()[1].Int() != 1011 {
 		t.Errorf("ad-hoc deposit lost: %d", r.LatestData()[1].Int())
